@@ -22,7 +22,7 @@ from repro.campaigns import (
     run_campaign,
     y_value,
 )
-from repro.experiments import run
+from repro.experiments import RunOptions, run
 from repro.experiments.sweep import path_value
 
 
@@ -52,8 +52,7 @@ def bench_crossover(benchmark, report):
     representative = campaign.sweep("bmmb").expand()[2]
     benchmark.pedantic(
         run,
-        args=(representative,),
-        kwargs={"keep_raw": False},
+        args=(representative, RunOptions.summary()),
         rounds=3,
         iterations=1,
     )

@@ -24,7 +24,7 @@ from repro.campaigns import (
     results_by_sweep,
     run_campaign,
 )
-from repro.experiments import run
+from repro.experiments import RunOptions, run
 
 
 def bench_fault_resilience(benchmark, report):
@@ -42,12 +42,11 @@ def bench_fault_resilience(benchmark, report):
     # Determinism is what makes these numbers reportable: one faulted
     # spec, run twice, must agree exactly.
     probe = campaign.sweep("fmmb_flap").expand()[0]
-    assert run(probe, keep_raw=False) == run(probe, keep_raw=False)
+    assert run(probe, RunOptions.summary()) == run(probe, RunOptions.summary())
     representative = campaign.sweep("bmmb_crash").expand()[-1]
     benchmark.pedantic(
         run,
-        args=(representative,),
-        kwargs={"keep_raw": False},
+        args=(representative, RunOptions.summary()),
         rounds=3,
         iterations=1,
     )

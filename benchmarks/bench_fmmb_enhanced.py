@@ -18,6 +18,7 @@ from repro import (
     AlgorithmSpec,
     ExperimentSpec,
     ModelSpec,
+    RunOptions,
     SchedulerSpec,
     TopologySpec,
     WorkloadSpec,
@@ -47,7 +48,7 @@ def fmmb_spec(n: int, side: float, k: int, seed: int = 0) -> ExperimentSpec:
 
 def run_one(n: int, side: float, k: int, seed: int = 0):
     spec = fmmb_spec(n, side, k, seed)
-    return materialize_topology(spec), run(spec, keep_raw=False)
+    return materialize_topology(spec), run(spec, RunOptions.summary())
 
 
 def bench_fmmb_scaling(benchmark, report):
@@ -81,7 +82,7 @@ def bench_fmmb_scaling(benchmark, report):
     # The no-Fack property, measured: BMMB pays for Fack, FMMB does not.
     # Same topology spec + seed => both substrates run the same network.
     base = fmmb_spec(40, 3.0, 4, seed=1)
-    fmmb_result = run(base, keep_raw=False)
+    fmmb_result = run(base, RunOptions.summary())
     fack_rows = []
     for fack in (5.0, 50.0, 500.0):
         bmmb_spec = replace(
@@ -92,7 +93,7 @@ def bench_fmmb_scaling(benchmark, report):
             model=ModelSpec(fack=fack, fprog=FPROG),
             substrate="standard",
         )
-        bmmb = run(bmmb_spec, keep_raw=False)
+        bmmb = run(bmmb_spec, RunOptions.summary())
         fack_rows.append(
             {
                 "Fack/Fprog": fack,

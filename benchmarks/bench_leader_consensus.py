@@ -13,6 +13,7 @@ from repro import (
     AlgorithmSpec,
     ExperimentSpec,
     ModelSpec,
+    RunOptions,
     SchedulerSpec,
     TopologySpec,
     materialize_topology,
@@ -40,7 +41,7 @@ def _protocol_spec(algorithm: str, n: int, scheduler_kind: str, seed: int):
 
 def run_leader(n: int, scheduler_kind: str, seed: int = 0):
     spec = _protocol_spec("flood_max", n, scheduler_kind, seed)
-    result = run(spec, keep_raw=False)
+    result = run(spec, RunOptions.summary())
     # solved == quiesced + elected_correctly (the registry postcondition).
     assert result.solved
     return materialize_topology(spec), result
@@ -85,7 +86,7 @@ def bench_leader_election(benchmark, report):
 
 def run_consensus(n: int, seed: int = 0):
     spec = _protocol_spec("flood_consensus", n, "uniform", seed)
-    result = run(spec, keep_raw=False)
+    result = run(spec, RunOptions.summary())
     # solved == quiesced + consensus_reached (the registry postcondition).
     assert result.solved
     return materialize_topology(spec), result

@@ -23,6 +23,7 @@ from dataclasses import replace
 from repro import (
     ExperimentSpec,
     FaultSpec,
+    RunOptions,
     TopologySpec,
     WorkloadSpec,
     run,
@@ -61,7 +62,7 @@ def main(seed: int = 7) -> None:
     rows = []
     for fault in SCENARIOS:
         spec = replace(base, fault=fault, name=f"gallery-{fault.kind}")
-        result = run(spec, keep_raw=False)
+        result = run(spec, RunOptions.summary())
         metrics = result.metrics
         rows.append(
             {

@@ -23,7 +23,7 @@ The package implements the paper's model and algorithms end to end:
 Quickstart::
 
     from repro import (
-        ExperimentSpec, ModelSpec, SchedulerSpec, TopologySpec,
+        ExperimentSpec, ModelSpec, RunOptions, SchedulerSpec, TopologySpec,
         WorkloadSpec, run,
     )
 
@@ -38,6 +38,7 @@ Quickstart::
     )
     result = run(spec)
     print(result.solved, result.completion_time)
+    summary = run(spec, RunOptions.summary())  # same result, no raw/stream
 
 Specs are frozen and JSON-round-trippable (``ExperimentSpec.from_json(
 spec.to_json()) == spec``), every random stream derives from ``spec.seed``,
@@ -121,6 +122,7 @@ from repro.experiments import (
     ExperimentSpec,
     FaultSpec,
     ModelSpec,
+    RunOptions,
     SchedulerSpec,
     Substrate,
     SubstrateBase,
@@ -251,6 +253,7 @@ __all__ = [
     "FaultSpec",
     "ModelSpec",
     "ExperimentResult",
+    "RunOptions",
     "run",
     "run_sweep",
     "Sweep",

@@ -10,9 +10,7 @@ deterministic-backoff retries, straggler work-stealing, and wall-clock /
 point budgets — every completed point lands in the
 :class:`~repro.campaigns.store.ResultStore` before the next is handed
 out, so an interrupted campaign loses at most the in-flight points and
-``run`` twice is a 100%-cache-hit no-op.  ``direct=True`` keeps the old
-unsupervised ``run_sweep`` batch path for benchmarking the fabric's
-overhead against.
+``run`` twice is a 100%-cache-hit no-op.
 
 Execution and verdicts are decoupled: :func:`run_campaign` computes and
 checkpoints, :func:`collect_results` reads a (possibly multi-shard) store
@@ -22,7 +20,6 @@ directives to a complete result set.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.campaigns.checks import CHECKS, Point, PointsBySweep
@@ -36,9 +33,8 @@ from repro.campaigns.supervision import (
 )
 from repro.campaigns.trace_checks import run_trace_check
 from repro.errors import ExperimentError
-from repro.experiments.runner import ExperimentResult, RunOptions
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.specs import ExperimentSpec
-from repro.experiments.sweep import run_sweep
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ class CampaignRun:
         failed: Points whose retries were exhausted, with the last error.
         exhausted: ``"wall_budget"``/``"point_budget"`` when a budget
             stopped the run early, else ``None``.
-        health: Supervisor health (``None`` for ``direct=True`` runs).
+        health: Supervisor health (counters and anomaly log).
     """
 
     campaign: CampaignSpec
@@ -124,7 +120,7 @@ class CampaignRun:
     corrupt: int = 0
     failed: list[tuple[CampaignPoint, str]] = field(default_factory=list)
     exhausted: str | None = None
-    health: FabricHealth | None = None
+    health: FabricHealth = field(default_factory=FabricHealth)
 
     @property
     def total(self) -> int:
@@ -159,7 +155,7 @@ class CampaignRun:
         if self.exhausted:
             open_points = self.total - self.ran - self.cached - len(self.failed)
             line += f"; {self.exhausted} exhausted with {open_points} points open"
-        if self.health is not None and self.health.anomalies():
+        if self.health.anomalies():
             line += f"; fabric: {self.health.describe()}"
         return line
 
@@ -169,15 +165,13 @@ def run_campaign(
     store: ResultStore | None,
     workers: int | None = None,
     shard: tuple[int, int] = (0, 1),
-    checkpoint_batch: int | None = None,
     fabric: FabricConfig | None = None,
-    direct: bool = False,
 ) -> CampaignRun:
     """Run (the shard of) a campaign under the supervised fabric.
 
     Args:
         campaign: What to run.  Its ``chaos`` directives (if any) are
-            injected by the fabric — ignored under ``direct=True``.
+            injected by the fabric.
         store: Checkpoint store; ``None`` disables caching entirely (every
             point runs, nothing is written — benchmark/test mode).
         workers: Worker processes (``None``/1 serial-width pool).  Ignored
@@ -185,14 +179,8 @@ def run_campaign(
         shard: ``(index, count)`` — this invocation runs only the points
             of its shard, enabling one campaign to span CI jobs/machines
             over a shared (or later-merged) store.
-        checkpoint_batch: Points per checkpoint batch on the ``direct``
-            path.  The fabric checkpoints every point individually, so
-            this only applies with ``direct=True``.
         fabric: Supervision policy (timeouts, retries, backoff, stealing,
             budgets).  Defaults to ``FabricConfig(workers=workers or 1)``.
-        direct: Bypass supervision and run the legacy unsupervised
-            ``run_sweep`` batches (no retries, timeouts, budgets, or
-            chaos) — the fabric's overhead baseline.
 
     Returns:
         The :class:`CampaignRun` for this shard.
@@ -223,107 +211,35 @@ def run_campaign(
             # A summary hit without its journal still re-runs: the
             # journal directive promises the stream is on disk.
             misses.append(position)
-    if direct:
-        _run_direct(
-            points,
-            misses,
-            results,
-            store,
-            workers,
-            checkpoint_batch,
-            journal_sweeps,
-            options_by_sweep,
+    jobs = [
+        FabricJob(
+            position=position,
+            label=f"{points[position].sweep}[{points[position].index}]",
+            spec=points[position].spec,
+            journaled=points[position].sweep in journal_sweeps,
+            options=options_by_sweep.get(points[position].sweep),
         )
-        failed: list[tuple[CampaignPoint, str]] = []
-        exhausted = None
-        health = None
-        ran = len(misses)
-    else:
-        jobs = [
-            FabricJob(
-                position=position,
-                label=f"{points[position].sweep}[{points[position].index}]",
-                spec=points[position].spec,
-                journaled=points[position].sweep in journal_sweeps,
-                options=options_by_sweep.get(points[position].sweep),
-            )
-            for position in misses
-        ]
-        config = fabric or FabricConfig(workers=workers or 1)
-        outcome = run_supervised(jobs, store, config, chaos=campaign.chaos)
-        for position, result in outcome.results.items():
-            results[position] = result
-        failed = [
-            (points[position], error)
-            for position, error in sorted(outcome.failed.items())
-        ]
-        exhausted = outcome.exhausted
-        health = outcome.health
-        ran = len(outcome.results)
+        for position in misses
+    ]
+    config = fabric or FabricConfig(workers=workers or 1)
+    outcome = run_supervised(jobs, store, config, chaos=campaign.chaos)
+    for position, result in outcome.results.items():
+        results[position] = result
     return CampaignRun(
         campaign=campaign,
         shard=shard,
         points=points,
         results=[r for r in results if r is not None],
-        ran=ran,
+        ran=len(outcome.results),
         cached=len(points) - len(misses),
         corrupt=(store.stats.corrupt - corrupt_before) if store is not None else 0,
-        failed=failed,
-        exhausted=exhausted,
-        health=health,
+        failed=[
+            (points[position], error)
+            for position, error in sorted(outcome.failed.items())
+        ],
+        exhausted=outcome.exhausted,
+        health=outcome.health,
     )
-
-
-def _run_direct(
-    points: list[CampaignPoint],
-    misses: list[int],
-    results: list[ExperimentResult | None],
-    store: ResultStore | None,
-    workers: int | None,
-    checkpoint_batch: int | None,
-    journal_sweeps: set[str],
-    options_by_sweep: dict[str, RunOptions],
-) -> None:
-    """Legacy unsupervised path: ``run_sweep`` in checkpoint batches."""
-    if checkpoint_batch is None:
-        checkpoint_batch = 1 if not workers or workers <= 1 else 4 * workers
-    if checkpoint_batch < 1:
-        raise ExperimentError(
-            f"checkpoint_batch must be >= 1, got {checkpoint_batch}"
-        )
-
-    def _capture(position: int) -> tuple[bool, RunOptions]:
-        sweep_name = points[position].sweep
-        journaled = sweep_name in journal_sweeps
-        options = options_by_sweep.get(sweep_name)
-        if options is None:
-            options = (
-                RunOptions.observed() if journaled else RunOptions.summary()
-            )
-        return journaled, options
-
-    # Batch positions that share capture options (RunOptions is frozen
-    # and hashable); journaled groups still checkpoint their streams.
-    groups: dict[tuple[bool, RunOptions], list[int]] = {}
-    for position in misses:
-        groups.setdefault(_capture(position), []).append(position)
-    for (journaled, options), group in sorted(
-        groups.items(), key=lambda item: item[1][0] if item[1] else 0
-    ):
-        for start in range(0, len(group), checkpoint_batch):
-            batch = group[start : start + checkpoint_batch]
-            sweep = run_sweep(
-                [points[position].spec for position in batch],
-                workers=workers,
-                options=options,
-            )
-            for position, result in zip(batch, sweep):
-                if journaled:
-                    store.put_journal(result.spec, result.observations)
-                    result = dataclasses.replace(result, observations=())
-                results[position] = result
-                if store is not None:
-                    store.put(result)
 
 
 def collect_results(

@@ -356,7 +356,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             specs,
             workers=args.workers,
             chunksize=args.chunksize,
-            keep_observations=journal_dir is not None,
+            options=RunOptions.observed() if journal_dir is not None else None,
         )
     except (ExperimentError, TypeError) as exc:
         # TypeError: a --param axis fed a builder a kwarg it doesn't take.
@@ -550,17 +550,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             )
         shard = campaigns.parse_shard(args.shard)
         chaos = tuple(campaigns.parse_chaos(text) for text in (args.chaos or []))
-        supervised_flags = (
-            chaos
-            or args.timeout is not None
-            or args.wall_budget is not None
-            or args.point_budget is not None
-        )
-        if args.direct and supervised_flags:
-            raise SystemExit(
-                "--direct bypasses the supervised fabric; drop --chaos/"
-                "--timeout/--wall-budget/--point-budget"
-            )
         if chaos:
             campaign = dataclasses.replace(campaign, chaos=chaos)
         fabric = campaigns.FabricConfig(
@@ -573,12 +562,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             point_budget=args.point_budget,
         )
         outcome = campaigns.run_campaign(
-            campaign,
-            store,
-            workers=args.workers,
-            shard=shard,
-            fabric=None if args.direct else fabric,
-            direct=args.direct,
+            campaign, store, shard=shard, fabric=fabric
         )
         print(outcome.describe())
         status = 0
@@ -1276,12 +1260,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject deterministic faults into the fabric (repeatable): "
         "worker_kill, point_hang, transient_error, store_corrupt; e.g. "
         "--chaos worker_kill:fraction=0.5,times=1,seed=0",
-    )
-    p_campaign.add_argument(
-        "--direct",
-        action="store_true",
-        help="bypass the supervised fabric (legacy batch path: no "
-        "retries, timeouts, budgets, or chaos)",
     )
     p_campaign.set_defaults(func=cmd_campaign)
 

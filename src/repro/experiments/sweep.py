@@ -212,16 +212,6 @@ def _run_with_options(
     return result
 
 
-def _run_summary(spec: ExperimentSpec) -> ExperimentResult:
-    """Top-level worker function (must be picklable for process pools)."""
-    return _run_with_options(spec, RunOptions.summary())
-
-
-def _run_observed(spec: ExperimentSpec) -> ExperimentResult:
-    """Summary worker that keeps the observation stream."""
-    return _run_with_options(spec, RunOptions.observed())
-
-
 def _run_indexed(
     job: tuple[int, ExperimentSpec, RunOptions],
 ) -> tuple[int, ExperimentResult]:
@@ -233,14 +223,6 @@ def _run_indexed(
     """
     index, spec, options = job
     return index, _run_with_options(spec, options)
-
-
-def _run_indexed_observed(
-    job: tuple[int, ExperimentSpec],
-) -> tuple[int, ExperimentResult]:
-    """Indexed variant of :func:`_run_observed` (parallel journaling)."""
-    index, spec = job
-    return index, _run_observed(spec)
 
 
 def default_chunksize(jobs: int, workers: int) -> int:
@@ -319,7 +301,6 @@ def run_sweep(
     specs: Iterable[ExperimentSpec],
     workers: int | None = None,
     chunksize: int | None = None,
-    keep_observations: bool = False,
     options: RunOptions | None = None,
 ) -> SweepResult:
     """Run every spec and aggregate the summaries.
@@ -336,37 +317,28 @@ def run_sweep(
             warm interpreter (imported registries, topology caches) across
             the chunk instead of paying per-point setup.  Defaults to
             :func:`default_chunksize`.
-        keep_observations: Carry each run's typed observation stream back
-            in ``result.observations`` (``raw`` stays dropped).  Summary
-            equality is unaffected — the field is excluded from
-            comparison — but memory grows with the event count, so this
-            is for journaling sweeps, not routine aggregation.  Shorthand
-            for ``options=RunOptions.observed()``.
         options: Per-point capture options (see
-            :class:`~repro.experiments.runner.RunOptions`); mutually
-            exclusive with ``keep_observations``.  ``options.journal`` is
-            rejected — a single journal path cannot hold many points;
-            journaling sweeps capture streams (``keep_raw``) and persist
-            them per point (the campaign store does exactly that).
+            :class:`~repro.experiments.runner.RunOptions`); defaults to
+            :meth:`~repro.experiments.runner.RunOptions.summary`.
+            ``RunOptions.observed()`` carries each run's typed
+            observation stream back in ``result.observations`` (``raw``
+            stays dropped) — summary equality is unaffected, but memory
+            grows with the event count, so it is for journaling sweeps.
+            ``options.journal`` is rejected — a single journal path
+            cannot hold many points; journaling sweeps capture streams
+            and persist them per point (the campaign store does exactly
+            that).
 
     Returns:
         The :class:`SweepResult`.
     """
-    if options is not None:
-        if keep_observations:
-            raise ExperimentError(
-                "pass either options=RunOptions(...) or "
-                "keep_observations=True, not both"
-            )
-        if options.journal is not None:
-            raise ExperimentError(
-                "options.journal is per-run and cannot journal a sweep; "
-                "capture streams with RunOptions(keep_raw=True) and "
-                "persist them per point instead"
-            )
-    else:
-        options = (
-            RunOptions.observed() if keep_observations else RunOptions.summary()
+    if options is None:
+        options = RunOptions.summary()
+    elif options.journal is not None:
+        raise ExperimentError(
+            "options.journal is per-run and cannot journal a sweep; "
+            "capture streams with RunOptions(keep_raw=True) and "
+            "persist them per point instead"
         )
     spec_list = list(specs)
     if workers is not None and workers > 1 and len(spec_list) > 1:

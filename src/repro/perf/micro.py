@@ -506,27 +506,34 @@ def bench_store_roundtrip(repeats: int = 3) -> BenchRecord:
 # ----------------------------------------------------------------------
 @_micro("supervisor_overhead")
 def bench_supervisor_overhead(repeats: int = 3) -> BenchRecord:
-    """Supervised fabric vs direct execution on the smoke ladder.
+    """Supervised fabric vs a serial sweep on the smoke ladder.
 
-    Runs the same storeless smoke campaign twice — once through the
-    legacy direct path and once through the supervised worker pool — so
-    the fabric's fixed costs (worker spawn, pipe dispatch, per-point
-    checkpoint bookkeeping) are regression-guarded against the work they
-    wrap.
+    Runs the same storeless smoke campaign twice — once as a plain serial
+    ``run_sweep`` over its points (the ``direct`` phase) and once through
+    the supervised worker pool — so the fabric's fixed costs (worker
+    spawn, pipe dispatch, per-point checkpoint bookkeeping) are
+    regression-guarded against the work they wrap.
     """
-    from repro.campaigns import FabricConfig, build_campaign, run_campaign
+    from repro.campaigns import (
+        FabricConfig,
+        build_campaign,
+        expand_points,
+        run_campaign,
+    )
+    from repro.experiments.sweep import run_sweep
 
     campaign = build_campaign("smoke", points=4)
     fabric = FabricConfig(workers=1, poll_interval=0.005)
 
     def once():
-        t_direct, direct_run = timed(
-            lambda: run_campaign(campaign, store=None, direct=True)
+        t_direct, direct_sweep = timed(
+            lambda: run_sweep([p.spec for p in expand_points(campaign)])
         )
         t_supervised, supervised_run = timed(
             lambda: run_campaign(campaign, store=None, fabric=fabric)
         )
-        assert direct_run.complete and supervised_run.complete
+        assert supervised_run.complete
+        assert list(direct_sweep) == supervised_run.results
         return (
             float(supervised_run.ran),
             {"direct": t_direct, "supervised": t_supervised},

@@ -262,7 +262,7 @@ def sweep_fingerprint() -> dict:
 
 def main() -> int:
     for name, spec in SCENARIOS.items():
-        fp = fingerprint(run(spec, keep_raw=True))
+        fp = fingerprint(run(spec))
         path = os.path.join(GOLDEN_DIR, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(fp) + "\n")

@@ -72,6 +72,7 @@ def test_quickstart_docstring_snippet_runs():
     from repro import (
         ExperimentSpec,
         ModelSpec,
+        RunOptions,
         SchedulerSpec,
         TopologySpec,
         WorkloadSpec,
@@ -89,6 +90,8 @@ def test_quickstart_docstring_snippet_runs():
     )
     result = run(spec)
     assert result.solved
+    summary = run(spec, RunOptions.summary())  # same result, no raw/stream
+    assert summary == result and summary.raw is None
 
 
 def test_experiment_api_is_exported():
@@ -101,6 +104,7 @@ def test_experiment_api_is_exported():
         "WorkloadSpec",
         "ModelSpec",
         "ExperimentResult",
+        "RunOptions",
         "run",
         "run_sweep",
         "Sweep",

@@ -220,21 +220,6 @@ def test_campaign_point_budget_exits_resumable_with_partial_report(
     assert "## Missing points" not in report
 
 
-def test_campaign_direct_conflicts_with_fabric_flags(tmp_path):
-    with pytest.raises(SystemExit, match="--direct"):
-        main(
-            _smoke_args(
-                tmp_path, "d", "--direct", "--chaos", "worker_kill"
-            )
-        )
-
-
-def test_campaign_direct_path_still_works(tmp_path, capsys):
-    assert main(_smoke_args(tmp_path, "direct", "--direct")) == 0
-    out = capsys.readouterr().out
-    assert "cache hit 0.0%" in out
-
-
 def test_campaign_bad_chaos_is_a_clean_error(tmp_path, capsys):
     status = main(_smoke_args(tmp_path, "c", "--chaos", "meteor_strike"))
     err = capsys.readouterr().err

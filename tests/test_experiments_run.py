@@ -26,6 +26,7 @@ from repro.experiments import (
     AlgorithmSpec,
     ExperimentSpec,
     ModelSpec,
+    RunOptions,
     SchedulerSpec,
     Sweep,
     TopologySpec,
@@ -65,8 +66,8 @@ def test_same_spec_runs_identically_twice():
 
 
 def test_different_seeds_give_different_executions():
-    first = run(standard_spec(seed=1), keep_raw=False)
-    second = run(standard_spec(seed=2), keep_raw=False)
+    first = run(standard_spec(seed=1), RunOptions.summary())
+    second = run(standard_spec(seed=2), RunOptions.summary())
     assert first.completion_time != second.completion_time
 
 
@@ -103,7 +104,7 @@ def test_standard_substrate_supports_arrival_schedules():
         model=ModelSpec(fack=FACK, fprog=FPROG),
         seed=4,
     )
-    result = run(spec, keep_raw=False)
+    result = run(spec, RunOptions.summary())
     assert result.solved
     assert result.metrics["max_latency"] < result.completion_time
 

@@ -21,6 +21,7 @@ from repro.experiments import (
     ExperimentSpec,
     FaultSpec,
     ModelSpec,
+    RunOptions,
     SchedulerSpec,
     Sweep,
     TopologySpec,
@@ -126,8 +127,8 @@ FAULTED_SPECS = [
 
 @pytest.mark.parametrize("spec", FAULTED_SPECS, ids=lambda s: s.name)
 def test_faulted_run_is_deterministic(spec):
-    first = run(spec, keep_raw=False)
-    second = run(spec, keep_raw=False)
+    first = run(spec, RunOptions.summary())
+    second = run(spec, RunOptions.summary())
     assert first == second
     assert first.metrics == second.metrics
     assert first.metrics["fault_events_applied"] >= 0.0
@@ -137,7 +138,7 @@ def test_faulted_run_is_deterministic(spec):
 def test_faulted_spec_json_round_trips(spec):
     clone = ExperimentSpec.from_json(spec.to_json())
     assert clone == spec
-    assert run(clone, keep_raw=False) == run(spec, keep_raw=False)
+    assert run(clone, RunOptions.summary()) == run(spec, RunOptions.summary())
 
 
 def test_old_json_without_fault_field_still_loads():
@@ -240,8 +241,8 @@ def test_enhanced_mac_runs_under_faults():
         model=ModelSpec(fack=FACK, fprog=FPROG, mac="enhanced"),
         seed=6,
     )
-    first = run(spec, keep_raw=False)
-    assert first == run(spec, keep_raw=False)
+    first = run(spec, RunOptions.summary())
+    assert first == run(spec, RunOptions.summary())
     assert first.metrics["survivors"] == 8.0
 
 
@@ -288,7 +289,7 @@ def test_rounds_crash_reports_survivor_metrics():
         substrate="rounds",
         seed=9,
     )
-    result = run(spec, keep_raw=False)
+    result = run(spec, RunOptions.summary())
     assert result.metrics["nodes_crashed"] == 4.0
     assert result.metrics["survivors"] == 12.0
     assert (
@@ -314,8 +315,8 @@ def test_radio_crash_aborts_inflight_broadcasts_deterministically():
         substrate="radio",
         seed=3,
     )
-    first = run(spec, keep_raw=False)
-    assert first == run(spec, keep_raw=False)
+    first = run(spec, RunOptions.summary())
+    assert first == run(spec, RunOptions.summary())
     assert first.metrics["nodes_crashed"] == 2.0
     assert first.metrics["survivors"] == 6.0
 
@@ -332,7 +333,7 @@ def test_protocol_crash_judges_leaders_among_survivors():
         substrate="protocol",
         seed=5,
     )
-    result = run(spec, keep_raw=False)
+    result = run(spec, RunOptions.summary())
     assert result.metrics["nodes_crashed"] == 1.0
     assert not result.solved
 
@@ -397,7 +398,7 @@ def test_contention_scheduler_survives_link_flapping():
     for seed in range(6):
         result = run(spec.with_seed(seed))
         assert not result.raw.instances.pending()
-        assert run(spec.with_seed(seed), keep_raw=False).metrics == {
+        assert run(spec.with_seed(seed), RunOptions.summary()).metrics == {
             k: v for k, v in result.metrics.items()
         }
 
@@ -419,7 +420,7 @@ def test_protocol_completion_reflects_activity_not_fault_horizon():
         substrate="protocol",
         seed=5,
     )
-    result = run(spec, keep_raw=False)
+    result = run(spec, RunOptions.summary())
     assert result.solved
     assert result.metrics["end_time"] >= 90.0  # timeline drained
     assert result.completion_time == result.metrics["last_activity"]
@@ -481,8 +482,8 @@ def test_radio_replays_the_full_fault_timeline_like_standard():
             seed=5,
         )
 
-    radio = run(spec_for("radio"), keep_raw=False)
-    standard = run(spec_for("standard"), keep_raw=False)
+    radio = run(spec_for("radio"), RunOptions.summary())
+    standard = run(spec_for("standard"), RunOptions.summary())
     assert radio.metrics["nodes_joined"] == standard.metrics["nodes_joined"]
     assert radio.metrics["survivors"] == standard.metrics["survivors"] == 8.0
     assert (
@@ -542,7 +543,7 @@ def test_crash_at_time_zero_delivers_the_wakeup_on_recovery():
         substrate="protocol",
         seed=2,
     )
-    result = run(spec, keep_raw=True)
+    result = run(spec)
     assert result.metrics["nodes_recovered"] == result.metrics["nodes_crashed"] > 0
     # Every automaton woke up eventually and no one is stuck mid-send.
     # (Whether FloodMax re-converges is the algorithm's problem — it only
@@ -564,7 +565,7 @@ def test_rounds_substrate_drains_the_timeline_like_the_others():
         seed=3,
     )
     standard = run(
-        ExperimentSpec(name="drain-std", **kwargs), keep_raw=False
+        ExperimentSpec(name="drain-std", **kwargs), RunOptions.summary()
     )
     rounds = run(
         ExperimentSpec(
@@ -574,7 +575,7 @@ def test_rounds_substrate_drains_the_timeline_like_the_others():
             substrate="rounds",
             **kwargs,
         ),
-        keep_raw=False,
+        RunOptions.summary(),
     )
     assert rounds.metrics["survivors"] == standard.metrics["survivors"]
     assert rounds.metrics["nodes_crashed"] == standard.metrics["nodes_crashed"]
@@ -590,7 +591,7 @@ def test_churn_joiners_are_owed_only_post_join_messages():
         fault=FaultSpec("churn_poisson", {"join_fraction": 0.3, "mean_gap": 20.0}),
         seed=5,
     )
-    result = run(spec, keep_raw=False)
+    result = run(spec, RunOptions.summary())
     assert result.metrics["nodes_joined"] > 0
     assert result.solved
     # The obligations shrank accordingly: fewer than all (node, message)

@@ -12,6 +12,7 @@ from repro.experiments import (
     AlgorithmSpec,
     ExperimentSpec,
     ModelSpec,
+    RunOptions,
     SchedulerSpec,
     TopologySpec,
     WorkloadSpec,
@@ -168,12 +169,12 @@ def test_journal_lines_header_first_sorted_keys():
 
 
 # ----------------------------------------------------------------------
-# run(spec, journal=...)
+# run(spec, RunOptions(journal=...))
 # ----------------------------------------------------------------------
 def test_run_writes_a_loadable_journal_with_the_spec(tmp_path):
     spec = _spec()
     path = tmp_path / "run.obs.jsonl.gz"
-    result = run(spec, keep_raw=False, journal=path)
+    result = run(spec, RunOptions(keep_raw=False, journal=path))
     assert result.observations == ()  # journal mode does not leak the stream
     journal = read_journal(path)
     assert len(journal) > 0
@@ -183,15 +184,15 @@ def test_run_writes_a_loadable_journal_with_the_spec(tmp_path):
 def test_run_journal_matches_keep_raw_stream(tmp_path):
     spec = _spec()
     path = tmp_path / "run.obs.jsonl.gz"
-    run(spec, keep_raw=False, journal=path)
-    raw = run(spec, keep_raw=True)
+    run(spec, RunOptions(keep_raw=False, journal=path))
+    raw = run(spec)
     expected = tuple(
         obs for obs in raw.observations if obs.kind != "profile"
     )
     assert read_journal(path).observations == expected
     # Re-journaling the same spec+seed reproduces the exact bytes.
     again = tmp_path / "again.obs.jsonl.gz"
-    run(spec, keep_raw=False, journal=again)
+    run(spec, RunOptions(keep_raw=False, journal=again))
     assert path.read_bytes() == again.read_bytes()
 
 
@@ -202,14 +203,14 @@ def test_run_rejects_journal_with_windowed_probe(tmp_path):
         )
     )
     with pytest.raises(ExperimentError, match="journal"):
-        run(spec, window=10.0, journal=tmp_path / "x.gz")
+        run(spec, RunOptions(window=10.0, journal=tmp_path / "x.gz"))
 
 
 # ----------------------------------------------------------------------
 # Profiling observations
 # ----------------------------------------------------------------------
 def test_keep_raw_runs_carry_profile_gauges_at_stream_end():
-    result = run(_spec(), keep_raw=True)
+    result = run(_spec())
     profile = {
         obs.key: obs.value
         for obs in result.observations
@@ -233,8 +234,8 @@ def test_keep_raw_runs_carry_profile_gauges_at_stream_end():
 
 def test_profile_gauges_stay_out_of_metrics():
     spec = _spec()
-    raw = run(spec, keep_raw=True)
-    summary = run(spec, keep_raw=False)
+    raw = run(spec)
+    summary = run(spec, RunOptions.summary())
     assert raw.metrics == summary.metrics
     assert not any(key.startswith("wall_") for key in raw.metrics)
 

@@ -2,9 +2,9 @@
 
 Acceptance bar for the consolidation: one frozen options bundle replaces
 the ``keep_raw=/window=/max_windows=/journal=`` kwarg spread; invalid
-combinations fail at construction; the legacy kwargs still work behind a
-``DeprecationWarning`` and produce identical results; sweeps and
-campaign directives accept (and validate) per-point options.
+combinations fail at construction; the removed per-kwarg and positional
+``bool`` forms of ``run`` are rejected outright; sweeps and campaign
+directives accept (and validate) per-point options.
 """
 
 from __future__ import annotations
@@ -71,31 +71,21 @@ def test_options_are_hashable_and_frozen():
 
 
 # ----------------------------------------------------------------------
-# run() surface: new bundle vs legacy kwargs
+# run() surface
 # ----------------------------------------------------------------------
-def test_legacy_kwargs_warn_and_match_the_bundle():
-    with pytest.warns(DeprecationWarning, match="RunOptions"):
-        legacy = run(_spec(), keep_raw=False)
-    fresh = run(_spec(), RunOptions.summary())
-    assert legacy == fresh
-    assert fresh.raw is None
-    assert fresh.observations == ()
+def test_legacy_kwargs_are_rejected():
+    for kwargs in (
+        {"keep_raw": False},
+        {"window": 50.0, "max_windows": 4},
+        {"journal": "out.obs.jsonl.gz"},
+    ):
+        with pytest.raises(TypeError):
+            run(_spec(), **kwargs)
 
 
-def test_legacy_positional_bool_still_means_keep_raw():
-    with pytest.warns(DeprecationWarning):
-        result = run(_spec(), False)
-    assert result.raw is None
-
-
-def test_positional_bool_plus_keep_raw_kwarg_is_rejected():
-    with pytest.raises(ExperimentError, match="keep_raw twice"):
-        run(_spec(), False, keep_raw=False)
-
-
-def test_bundle_plus_legacy_kwargs_is_rejected():
-    with pytest.raises(ExperimentError, match="not both"):
-        run(_spec(), RunOptions.summary(), keep_raw=False)
+def test_legacy_positional_bool_is_rejected():
+    with pytest.raises(TypeError, match="RunOptions"):
+        run(_spec(), False)
 
 
 def test_windowed_options_fold_observations():
@@ -125,12 +115,6 @@ def test_run_sweep_accepts_options():
     assert list(default) == list(observed)
     assert all(r.observations == () for r in default)
     assert all(r.observations for r in observed)
-
-
-def test_run_sweep_rejects_options_with_keep_observations():
-    specs = list(Sweep.grid(_spec(), axes={}, repeats=1))
-    with pytest.raises(ExperimentError, match="keep_observations"):
-        run_sweep(specs, keep_observations=True, options=RunOptions.observed())
 
 
 def test_run_sweep_rejects_per_run_journal_paths():

@@ -21,6 +21,7 @@ from repro.campaigns import (
     build_campaign,
     collect_results,
     evaluate_checks,
+    expand_points,
     parse_chaos,
     run_campaign,
     write_artifacts,
@@ -39,6 +40,7 @@ from repro.experiments import (
     SchedulerSpec,
     TopologySpec,
     WorkloadSpec,
+    run_sweep,
 )
 
 
@@ -160,16 +162,19 @@ def test_chaos_needing_more_retries_than_allowed_is_rejected():
 # Supervised execution
 # ----------------------------------------------------------------------
 def test_supervised_matches_direct_results(tmp_path):
+    """The fabric returns what a plain serial sweep computes, and its
+    store bytes do not depend on the worker count."""
     campaign = build_campaign("smoke", points=4)
-    supervised = ResultStore(str(tmp_path / "sup"))
-    direct = ResultStore(str(tmp_path / "dir"))
-    sup_run = run_campaign(campaign, supervised, workers=2)
-    dir_run = run_campaign(campaign, direct, direct=True)
-    assert sup_run.complete and dir_run.complete
-    assert sup_run.results == dir_run.results
-    assert sup_run.health is not None and not sup_run.health.anomalies()
-    assert dir_run.health is None
-    assert _store_bytes(supervised.root) == _store_bytes(direct.root)
+    wide = ResultStore(str(tmp_path / "wide"))
+    narrow = ResultStore(str(tmp_path / "narrow"))
+    wide_run = run_campaign(campaign, wide, workers=2)
+    narrow_run = run_campaign(campaign, narrow, workers=1)
+    assert wide_run.complete and narrow_run.complete
+    serial = run_sweep([point.spec for point in expand_points(campaign)])
+    assert wide_run.results == list(serial)
+    assert narrow_run.results == list(serial)
+    assert not wide_run.health.anomalies()
+    assert _store_bytes(wide.root) == _store_bytes(narrow.root)
 
 
 def test_worker_exception_retries_then_marks_failed():
