@@ -38,6 +38,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.campaigns.checks import SWEEP_NAME_PARAMS
 from repro.campaigns.spec import (
     CampaignSpec,
     CheckSpec,
@@ -905,6 +906,15 @@ def _prefix_patterns(name: str, patterns: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(f"{name}{META_SWEEP_SEP}{pattern}" for pattern in patterns)
 
 
+def _prefix_params(name: str, check: CheckSpec) -> dict[str, Any]:
+    """A check's params with every sweep-naming value scoped like its sweeps."""
+    params = dict(check.params)
+    for key in SWEEP_NAME_PARAMS.get(check.kind, ()):
+        if key in params:
+            params[key] = f"{name}{META_SWEEP_SEP}{params[key]}"
+    return params
+
+
 def _prefix_campaign(name: str, campaign: CampaignSpec) -> CampaignSpec:
     """Namespace one campaign's directives for inclusion in the merge.
 
@@ -944,7 +954,7 @@ def _prefix_campaign(name: str, campaign: CampaignSpec) -> CampaignSpec:
         CheckSpec(
             kind=check.kind,
             sweeps=_prefix_patterns(name, check.sweeps),
-            params=check.params,
+            params=_prefix_params(name, check),
         )
         for check in campaign.checks
     )

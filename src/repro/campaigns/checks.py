@@ -289,6 +289,11 @@ def _check_rate_at(
     return [f"rate_at: no points with {x}={x_value:g}"]
 
 
+#: Check params whose values name sweeps, per check kind — a merged
+#: campaign that namespaces sweep names must rewrite these too.
+SWEEP_NAME_PARAMS: dict[str, tuple[str, ...]] = {"crossover": ("first", "last")}
+
+
 @register_check("crossover")
 def _check_crossover(
     points_by_sweep: PointsBySweep,

@@ -22,6 +22,20 @@ Format (version :data:`JOURNAL_FORMAT`):
   by default — wall-clock and heap gauges are machine-dependent and
   would break cross-machine byte identity.
 
+Encoding renders each row string directly (no per-row ``json.dumps``;
+the text is exactly what ``json.dumps(row, separators=(",", ":"))``
+would produce) and feeds the whole payload to one deflate stream in
+chunks of :data:`_CHUNK_ROWS` lines.  Deflate output depends only on
+the byte sequence, never on where the writes split, so the chunking is
+invisible in the file and only bounds the encoder's memory.  The frame
+comes from :class:`gzip.GzipFile`, whose header (OS byte ``0xff``) is
+part of the byte contract — :func:`gzip.compress` writes a different
+header on some Python versions.
+
+Decoding parses line by line, so a row that spans two lines is an
+error, never silently joined; every malformed line raises
+:class:`~repro.errors.ExperimentError` naming ``where:lineno``.
+
 Readers sniff the gzip magic, so a hand-written plain-text ``.jsonl``
 journal (useful for synthesizing violation fixtures in tests) loads
 through the same functions.
@@ -32,13 +46,15 @@ from __future__ import annotations
 import gzip
 import io
 import json
-import math
 from dataclasses import dataclass
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.errors import ExperimentError
-from repro.runtime.observations import Observation
+from repro.runtime.observations import OBSERVATION_KINDS, Observation
 
 #: Journal schema version; bump on any incompatible layout change.
 JOURNAL_FORMAT = 1
@@ -53,20 +69,15 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _GZIP_MTIME = 0
 _GZIP_LEVEL = 9
 
+#: Rows per ``GzipFile.write``: large enough that framing overhead
+#: vanishes, small enough that the encoder never holds the whole text.
+_CHUNK_ROWS = 4096
 
-def _encode_float(value: float) -> float | str:
-    """Strict-JSON float encoding (mirrors the result-store convention)."""
-    if math.isfinite(value):
-        return float(value)
-    if math.isnan(value):
-        return "nan"
-    return "inf" if value > 0 else "-inf"
-
-
-def _decode_float(value: object) -> float:
-    if isinstance(value, str):
-        return float(value)
-    return float(value)  # type: ignore[arg-type]
+_fields = attrgetter("time", "kind", "node", "key", "ref", "value")
+_KIND_TEXT = {kind: encode_basestring_ascii(kind) for kind in OBSERVATION_KINDS}
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_decoder = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -81,31 +92,51 @@ class Journal:
         return len(self.observations)
 
 
-def _observation_row(obs: Observation) -> list:
-    return [
-        _encode_float(obs.time),
-        obs.kind,
-        obs.node,
-        obs.key,
-        obs.ref,
-        _encode_float(obs.value),
-    ]
+def _number_text(value: float) -> str:
+    """A float field as strict JSON: its repr, or a quoted non-finite name."""
+    value = float(value)
+    if value - value == 0.0:  # finite
+        return _float_repr(value)
+    if value != value:
+        return '"nan"'
+    return '"inf"' if value > 0 else '"-inf"'
 
 
-def _row_observation(row: object, where: str) -> Observation:
-    if not isinstance(row, list) or len(row) != 6:
-        raise ExperimentError(
-            f"{where}: journal line is not a 6-element observation array"
-        )
-    time, kind, node, key, ref, value = row
-    return Observation(
-        time=_decode_float(time),
-        kind=str(kind),
-        node=None if node is None else int(node),
-        key=str(key),
-        ref=int(ref),
-        value=_decode_float(value),
+def _row_text(obs: Observation) -> str:
+    """One observation's journal line (without the newline).
+
+    Byte-identical to ``json.dumps([time, kind, node, key, ref, value],
+    separators=(",", ":"))`` with non-finite floats as strings, for the
+    field types :class:`Observation` declares.
+    """
+    time, kind, node, key, ref, value = _fields(obs)
+    node_text = "null" if node is None else _int_repr(node)
+    return (
+        f"[{_number_text(time)},{_KIND_TEXT[kind]},{node_text},"
+        f"{encode_basestring_ascii(key)},{_int_repr(ref)},{_number_text(value)}]"
     )
+
+
+def _lines(
+    observations: Iterable[Observation],
+    meta: dict | None,
+    include_profile: bool,
+) -> tuple[int, Iterator[str]]:
+    """The kept observation count and the journal's lines, header first."""
+    kept = [
+        obs
+        for obs in observations
+        if include_profile or obs.kind != "profile"
+    ]
+    kept.sort(key=Observation.sort_key)
+    header = {
+        "format": JOURNAL_FORMAT,
+        "kind": JOURNAL_KIND,
+        "count": len(kept),
+        "meta": meta if meta is not None else {},
+    }
+    header_text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return len(kept), chain((header_text,), map(_row_text, kept))
 
 
 def journal_lines(
@@ -119,21 +150,24 @@ def journal_lines(
     — their values (wall time, heap churn) vary across machines and
     would defeat byte-identical journals.
     """
-    kept = [
-        obs
-        for obs in observations
-        if include_profile or obs.kind != "profile"
-    ]
-    kept.sort(key=Observation.sort_key)
-    header = {
-        "format": JOURNAL_FORMAT,
-        "kind": JOURNAL_KIND,
-        "count": len(kept),
-        "meta": meta if meta is not None else {},
-    }
-    yield json.dumps(header, sort_keys=True, separators=(",", ":"))
-    for obs in kept:
-        yield json.dumps(_observation_row(obs), separators=(",", ":"))
+    return _lines(observations, meta, include_profile)[1]
+
+
+def _encode(
+    observations: Iterable[Observation],
+    meta: dict | None,
+    include_profile: bool,
+) -> tuple[bytes, int]:
+    """Journal bytes plus the observation count in the header."""
+    count, lines = _lines(observations, meta, include_profile)
+    buffer = io.BytesIO()
+    with gzip.GzipFile(
+        fileobj=buffer, mode="wb", mtime=_GZIP_MTIME, compresslevel=_GZIP_LEVEL
+    ) as frame:
+        while chunk := list(islice(lines, _CHUNK_ROWS)):
+            chunk.append("")  # trailing newline
+            frame.write("\n".join(chunk).encode("utf-8"))
+    return buffer.getvalue(), count
 
 
 def dump_journal(
@@ -142,14 +176,7 @@ def dump_journal(
     include_profile: bool = False,
 ) -> bytes:
     """Serialize a stream to deterministic gzip-framed journal bytes."""
-    buffer = io.BytesIO()
-    with gzip.GzipFile(
-        fileobj=buffer, mode="wb", mtime=_GZIP_MTIME, compresslevel=_GZIP_LEVEL
-    ) as frame:
-        for line in journal_lines(observations, meta, include_profile):
-            frame.write(line.encode("utf-8"))
-            frame.write(b"\n")
-    return buffer.getvalue()
+    return _encode(observations, meta, include_profile)[0]
 
 
 def write_journal(
@@ -158,14 +185,15 @@ def write_journal(
     meta: dict | None = None,
     include_profile: bool = False,
 ) -> int:
-    """Write a journal file; returns the observation count written."""
-    data = dump_journal(observations, meta, include_profile)
+    """Write a journal file; returns the observation count written.
+
+    The file holds exactly :func:`dump_journal`'s bytes; the count is the
+    number of observations kept (``profile`` records excluded unless
+    ``include_profile``), known from encoding — nothing is read back.
+    """
+    data, count = _encode(observations, meta, include_profile)
     Path(path).write_bytes(data)
-    # The header's count is authoritative and cheap to recover here.
-    header = json.loads(
-        gzip.decompress(data).split(b"\n", 1)[0].decode("utf-8")
-    )
-    return int(header["count"])
+    return count
 
 
 def _journal_text(path: str | Path) -> str:
@@ -181,8 +209,21 @@ def _journal_text(path: str | Path) -> str:
         raise ExperimentError(f"{path}: journal is not UTF-8: {exc}") from exc
 
 
+def _header_int(header: dict, field: str, where: str) -> int:
+    try:
+        return int(header.get(field, -1))
+    except (TypeError, ValueError) as exc:
+        raise ExperimentError(f"{where}:1: bad journal header {field}: {exc}") from exc
+
+
 def loads_journal(text: str, where: str = "<journal>") -> Journal:
-    """Parse journal text (header line + observation lines)."""
+    """Parse journal text (header line + observation lines).
+
+    Every malformed line — bad JSON, not a 6-element array, a field of
+    the wrong type, an unknown kind — raises
+    :class:`~repro.errors.ExperimentError` naming ``where:lineno``
+    (``lineno`` counts non-blank lines, header included).
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ExperimentError(f"{where}: empty journal")
@@ -195,22 +236,50 @@ def loads_journal(text: str, where: str = "<journal>") -> Journal:
             f"{where}: not an observation journal (missing "
             f"kind={JOURNAL_KIND!r} header)"
         )
-    fmt = int(header.get("format", -1))
+    fmt = _header_int(header, "format", where)
     if fmt != JOURNAL_FORMAT:
         raise ExperimentError(
             f"{where}: journal format {fmt} unsupported "
             f"(this build reads format {JOURNAL_FORMAT})"
         )
     observations: list[Observation] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    append = observations.append
+    for lineno, line in enumerate(islice(lines, 1, None), start=2):
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
+            row, end = _decoder.scan_once(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):
+            # Padding, trailing data or a syntax error: the full decoder
+            # accepts or rejects the line exactly as ``json.loads`` would.
+            try:
+                row = _decoder.decode(line)
+            except json.JSONDecodeError as exc:
+                raise ExperimentError(
+                    f"{where}:{lineno}: bad journal line: {exc}"
+                ) from exc
+        if not isinstance(row, list) or len(row) != 6:
             raise ExperimentError(
-                f"{where}:{lineno}: bad journal line: {exc}"
+                f"{where}:{lineno}: journal line is not a 6-element "
+                "observation array"
+            )
+        time, kind, node, key, ref, value = row
+        try:
+            append(
+                Observation(
+                    float(time),
+                    str(kind),
+                    None if node is None else int(node),
+                    str(key),
+                    int(ref),
+                    float(value),
+                )
+            )
+        except (TypeError, ValueError, OverflowError, ExperimentError) as exc:
+            raise ExperimentError(
+                f"{where}:{lineno}: bad observation row: {exc}"
             ) from exc
-        observations.append(_row_observation(row, f"{where}:{lineno}"))
-    count = int(header.get("count", -1))
+    count = _header_int(header, "count", where)
     if count != len(observations):
         raise ExperimentError(
             f"{where}: header declares {count} observations, "

@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.campaigns import ResultStore, spec_key
+from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments import (
     AlgorithmSpec,
     ExperimentSpec,
+    FaultSpec,
     ModelSpec,
     RunOptions,
     SchedulerSpec,
@@ -28,7 +36,7 @@ from repro.runtime.journal import (
     read_journal,
     write_journal,
 )
-from repro.runtime.observations import Observation
+from repro.runtime.observations import OBSERVATION_KINDS, Observation
 from repro.sim.rng import RandomSource
 
 
@@ -153,6 +161,68 @@ def test_malformed_journals_are_rejected(tmp_path):
         read_journal(truncated)
 
 
+def _hand_journal(*rows, meta=None):
+    header = {"format": 1, "kind": JOURNAL_KIND, "count": len(rows)}
+    header["meta"] = meta or {}
+    return "\n".join([json.dumps(header), *rows]) + "\n"
+
+
+#: Rows that parse as JSON arrays but whose fields cannot become an
+#: Observation (list ref, non-numeric time, object node, unknown kind).
+MALFORMED_ROWS = [
+    '[0.0,"bcast",0,"m0",[0],1.0]',
+    '["x","bcast",0,"m0",0,1.0]',
+    '[0.0,"bcast",{},"m0",0,1.0]',
+    '[0.0,"nope",0,"m0",0,1.0]',
+]
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS)
+def test_malformed_rows_raise_located_experiment_error(row):
+    with pytest.raises(ExperimentError, match=r"^<journal>:2: bad observation row"):
+        loads_journal(_hand_journal(row))
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS)
+def test_malformed_row_counts_the_stored_journal_corrupt(tmp_path, row):
+    store = ResultStore(str(tmp_path / "store"))
+    spec = _spec()
+    key = spec_key(spec)
+    text = _hand_journal(row, meta={"spec_key": key})
+    store.backend.put("journal", key, text.encode("utf-8"))
+    assert store.get_journal(spec) is None
+    assert store.stats.corrupt == 1
+
+
+@pytest.mark.parametrize("row", MALFORMED_ROWS)
+def test_trace_dump_of_malformed_row_exits_2(tmp_path, row, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_hand_journal(row))
+    assert main(["trace", "dump", str(path)]) == 2
+    assert f"{path}:2: bad observation row" in capsys.readouterr().err
+
+
+def test_rows_never_span_lines():
+    # One JSON document split over two lines is two bad lines, even
+    # though the joined text would parse.
+    with pytest.raises(ExperimentError, match=r":2: bad journal line"):
+        loads_journal(_hand_journal("[[1]", "[2]]"))
+
+
+def test_padded_lines_load_and_trailing_data_is_rejected():
+    row = '[0.0,"bcast",0,"m0",0,1.0]'
+    padded = loads_journal(_hand_journal(f"  {row}\t"))
+    assert padded.observations == loads_journal(_hand_journal(row)).observations
+    with pytest.raises(ExperimentError, match=r":2: bad journal line: Extra data"):
+        loads_journal(_hand_journal(f"{row} 7"))
+
+
+def test_non_integer_header_count_is_an_experiment_error():
+    header = {"format": 1, "kind": JOURNAL_KIND, "count": [1], "meta": {}}
+    with pytest.raises(ExperimentError, match=r":1: bad journal header count"):
+        loads_journal(json.dumps(header))
+
+
 def test_unsupported_format_version_rejected():
     header = json.dumps(
         {"format": 99, "kind": JOURNAL_KIND, "count": 0, "meta": {}}
@@ -166,6 +236,137 @@ def test_journal_lines_header_first_sorted_keys():
     header = json.loads(lines[0])
     assert header["count"] == len(lines) - 1
     assert lines[0].index('"a"') < lines[0].index('"b"')
+
+
+# ----------------------------------------------------------------------
+# Byte contract: golden text and the json.dumps reference encoder
+# ----------------------------------------------------------------------
+#: sha256 of the uncompressed journal of ``_spec(seed=3)`` (optionally
+#: faulted), run with ``RunOptions.observed()`` and dumped with
+#: ``meta={"spec": spec.to_dict()}``.  Pinned from the per-row
+#: ``json.dumps`` encoder; the text (not the gzip bytes) is pinned so the
+#: test holds across zlib builds.
+GOLDEN_JOURNAL_TEXT = {
+    "fault-free": (
+        None,
+        167,
+        "c17d08b96792a5e5d463b4f8ed64f6241206271afc53fba83909e146c399c88a",
+    ),
+    "crash_random": (
+        FaultSpec("crash_random", {"fraction": 0.2}),
+        169,
+        "2754636f9fa73fa1e61588b797ab368da1674ecf2b0e2d284174cccd944b0599",
+    ),
+}
+
+
+def _gzip_one_write(text: bytes) -> bytes:
+    buffer = io.BytesIO()
+    with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0, compresslevel=9) as frame:
+        frame.write(text)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_JOURNAL_TEXT))
+def test_journal_text_matches_golden_digest(case):
+    fault, observations, digest = GOLDEN_JOURNAL_TEXT[case]
+    spec = _spec(seed=3) if fault is None else _spec(seed=3, fault=fault)
+    result = run(spec, RunOptions.observed())
+    assert len(result.observations) == observations
+    data = dump_journal(result.observations, meta={"spec": spec.to_dict()})
+    text = gzip.decompress(data)
+    assert hashlib.sha256(text).hexdigest() == digest
+    # Chunked writes frame exactly like one write of the whole text.
+    assert data == _gzip_one_write(text)
+
+
+def _reference_number(value):
+    if math.isfinite(value):
+        return float(value)
+    if math.isnan(value):
+        return "nan"
+    return "inf" if value > 0 else "-inf"
+
+
+def _reference_row(obs: Observation) -> str:
+    """The original per-row encoder the direct renderer must match."""
+    row = [
+        _reference_number(obs.time),
+        obs.kind,
+        obs.node,
+        obs.key,
+        obs.ref,
+        _reference_number(obs.value),
+    ]
+    return json.dumps(row, separators=(",", ":"))
+
+
+def _reference_dump(observations, meta=None) -> bytes:
+    kept = [obs for obs in observations if obs.kind != "profile"]
+    kept.sort(key=Observation.sort_key)
+    header = {
+        "format": JOURNAL_FORMAT,
+        "kind": JOURNAL_KIND,
+        "count": len(kept),
+        "meta": meta if meta is not None else {},
+    }
+    buffer = io.BytesIO()
+    with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0, compresslevel=9) as frame:
+        frame.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+        frame.write(b"\n")
+        for obs in kept:
+            frame.write(_reference_row(obs).encode("utf-8"))
+            frame.write(b"\n")
+    return buffer.getvalue()
+
+
+_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1e-320, 1e308, -1e308, 0.1]),
+    st.integers(min_value=-(2**60), max_value=2**60),
+)
+_keys = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('\x00\t\n\r\x1f\x7f"\\/\x85\u2028\ufeff'),
+    )
+)
+_observations = st.builds(
+    Observation,
+    time=_numbers,
+    kind=st.sampled_from(OBSERVATION_KINDS),
+    node=st.none() | st.integers(min_value=-(2**70), max_value=2**70),
+    key=_keys,
+    ref=st.integers(min_value=-(2**70), max_value=2**70),
+    value=_numbers,
+)
+
+
+@given(stream=st.lists(_observations, max_size=12))
+@settings(max_examples=120, deadline=None)
+def test_direct_rows_match_the_json_dumps_reference(stream):
+    lines = list(journal_lines(stream, include_profile=True))
+    kept = sorted(stream, key=Observation.sort_key)
+    assert lines[1:] == [_reference_row(obs) for obs in kept]
+
+
+@given(stream=st.lists(_observations, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_dump_matches_the_reference_and_round_trips(stream):
+    data = dump_journal(stream, meta={"k": "\u00e9"})
+    assert data == _reference_dump(stream, meta={"k": "\u00e9"})
+    # Decoding then re-encoding reproduces the bytes exactly.
+    text = gzip.decompress(data).decode("utf-8")
+    again = dump_journal(loads_journal(text).observations, meta={"k": "\u00e9"})
+    assert again == data
+
+
+def test_chunked_framing_matches_the_reference_past_one_chunk():
+    stream = [
+        Observation(time=i / 7.0, kind="rcv", node=i % 97, key=f"m{i % 13}", ref=i)
+        for i in range(5_000)
+    ]
+    assert dump_journal(stream) == _reference_dump(stream)
 
 
 # ----------------------------------------------------------------------

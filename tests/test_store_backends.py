@@ -28,8 +28,10 @@ from repro.campaigns import (
     backoff_delay,
     build_campaign,
     diff_campaign,
+    evaluate_checks,
     expand_points,
     parse_chaos,
+    results_by_sweep,
     run_campaign,
     spec_key,
 )
@@ -550,3 +552,14 @@ def test_all_figures_namespaces_sweeps_figures_and_checks():
     assert meta.checks  # every member campaign's checks ride along
     # Round-trips like any other campaign spec.
     assert CampaignSpec.from_json(meta.to_json()) == meta
+
+
+def test_all_figures_checks_see_the_sweeps_their_params_name():
+    # Sweep-naming params (crossover's first/last) are namespaced with
+    # the sweeps, so no merged check loses its sweeps to the prefix.
+    meta = build_campaign("all_figures")
+    outcomes = evaluate_checks(meta, {d.name: [] for d in meta.sweeps})
+    assert not [f for o in outcomes for f in o.failures if "not in scope" in f]
+    crossover = build_campaign("all_figures", include="crossover")
+    by_sweep = results_by_sweep(run_campaign(crossover, None))
+    assert [o.failures for o in evaluate_checks(crossover, by_sweep)] == [(), ()]
