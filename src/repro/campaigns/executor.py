@@ -341,7 +341,8 @@ def evaluate_trace_checks(
     """Apply every trace-check directive to its journaled points.
 
     Each directive runs once per point of the journaling sweeps it
-    scopes, against the observation journal persisted in the store.  A
+    scopes, against the observation journal persisted in the store; each
+    point's journal is read once and shared by every directive.  A
     point without a readable journal is itself a failure — the journal
     directive promised the stream, so silence must not pass.  Outcome
     kinds are prefixed ``trace:`` to keep the two check families apart
@@ -353,27 +354,29 @@ def evaluate_trace_checks(
         for point in expand_points(campaign)
         if point.sweep in journal_sweeps
     ]
-    outcomes = []
-    for check in campaign.trace_checks:
-        failures: list[str] = []
-        for point in points:
-            if not check.matches(point.sweep):
-                continue
-            label = f"{point.sweep}[{point.index}] {point.spec.name!r}"
-            journal = store.get_journal(point.spec)
+    checks = campaign.trace_checks
+    failures: list[list[str]] = [[] for _ in checks]
+    for point in points:
+        matching = [i for i, check in enumerate(checks) if check.matches(point.sweep)]
+        if not matching:
+            continue
+        label = f"{point.sweep}[{point.index}] {point.spec.name!r}"
+        journal = store.get_journal(point.spec)
+        for i in matching:
             if journal is None:
-                failures.append(f"{label}: no readable journal in store")
+                failures[i].append(f"{label}: no readable journal in store")
                 continue
-            failures.extend(
+            check = checks[i]
+            failures[i].extend(
                 f"{label}: {failure}"
                 for failure in run_trace_check(
                     check.kind, point.spec, journal.observations, **check.params
                 )
             )
-        outcomes.append(
-            CheckOutcome(f"trace:{check.kind}", check.sweeps, tuple(failures))
-        )
-    return outcomes
+    return [
+        CheckOutcome(f"trace:{check.kind}", check.sweeps, tuple(found))
+        for check, found in zip(checks, failures)
+    ]
 
 
 @dataclass

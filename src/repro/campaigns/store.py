@@ -31,7 +31,7 @@ import gzip
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import ExperimentError
 from repro.experiments.runner import ExperimentResult
@@ -244,7 +244,7 @@ class ResultStore:
     def put_journal(
         self,
         spec: ExperimentSpec,
-        observations: tuple[Observation, ...],
+        observations: Iterable[Observation],
     ) -> str:
         """Persist a point's observation journal atomically.
 

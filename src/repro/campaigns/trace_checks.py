@@ -183,11 +183,16 @@ def run_trace_check(
     observations: tuple[Observation, ...],
     **params,
 ) -> list[str]:
-    """Run one registered trace check; raises on bad params."""
+    """Run one registered trace check; raises on bad params.
+
+    A param the check does not take (``TypeError``) or cannot convert
+    (``ValueError``, e.g. ``fack=abc``) raises
+    :class:`~repro.errors.ExperimentError`.
+    """
     check = TRACE_CHECKS.get(kind)
     try:
         return check(spec, observations, **params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ExperimentError(
             f"trace check {kind!r} rejected params {sorted(params)}: {exc}"
         ) from exc

@@ -814,7 +814,7 @@ def cmd_trace_grep(args: argparse.Namespace) -> int:
     try:
         pattern = re.compile(args.pattern)
     except re.error as exc:
-        raise SystemExit(f"bad pattern {args.pattern!r}: {exc}")
+        raise ExperimentError(f"bad pattern {args.pattern!r}: {exc}") from exc
     matched = 0
     for path in args.journals:
         journal = read_journal(path)

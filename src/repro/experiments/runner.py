@@ -31,7 +31,7 @@ import sys
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ExperimentError
 from repro.experiments.specs import ExperimentSpec
@@ -50,7 +50,7 @@ from repro.experiments.substrates import (
     root_stream,
 )
 from repro.runtime.journal import write_journal
-from repro.runtime.observations import Observation
+from repro.runtime.observations import Observation, ObservationStream
 
 #: Names in ``__all__`` are re-exported on purpose: the pre-substrate
 #: dispatcher lived here, and downstream code (CLI, perf harness, golden
@@ -106,11 +106,12 @@ class ExperimentResult:
         raw: The substrate's native result object (``RunResult``,
             ``ProtocolRun``, ``FMMBResult``, or ``RadioRun``); ``None``
             when summarized for a sweep.  Excluded from equality.
-        observations: The typed observation stream (see
-            :mod:`repro.runtime.observations`), with run-level
-            ``profile`` markers appended by ``run``; empty on
-            ``keep_raw=False`` runs.  Excluded from equality and
-            serialization (persist it with ``RunOptions(journal=...)``).
+        observations: The typed observation stream, an
+            :class:`~repro.runtime.observations.ObservationStream` of
+            columns with run-level ``profile`` markers appended by
+            ``run``; ``()`` on ``keep_raw=False`` runs.  Excluded from
+            equality and serialization (persist it with
+            ``RunOptions(journal=...)``).
     """
 
     spec: ExperimentSpec
@@ -124,7 +125,7 @@ class ExperimentResult:
     )
     wall_time: float = field(default=0.0, compare=False)
     raw: Any = field(default=None, compare=False, repr=False)
-    observations: tuple[Observation, ...] = field(
+    observations: Sequence[Observation] = field(
         default=(), compare=False, repr=False
     )
 
@@ -190,27 +191,30 @@ def decode_float(value: Any) -> float:
 
 def _profile_observations(
     ctx: ExecutionContext,
-    outcome,
+    stream: ObservationStream,
+    metrics: Mapping[str, float],
     setup_seconds: float,
     execute_seconds: float,
     heap_blocks_delta: int,
 ) -> tuple[Observation, ...]:
     """Run-level profiling as ``profile`` observations.
 
-    One record per gauge, stamped at the stream's last event time (with
-    ``profile`` ordered last among kinds, appending keeps the stream
-    chronological).  These carry wall-clock and allocator numbers, so
-    they are machine-dependent by design — journal writers exclude them
-    by default and they never enter ``metrics`` or result equality.
+    One record per gauge, stamped at the stream's last event time (read
+    from its time column).  ``profile`` sorts last among kinds, so
+    :meth:`ObservationStream.merged` appends the records without
+    re-sorting the stream.  These carry wall-clock and allocator
+    numbers, so they are machine-dependent by design — journal writers
+    exclude them by default and they never enter ``metrics`` or result
+    equality.
     """
-    end = max((o.time for o in outcome.observations), default=0.0)
+    end = max(stream.columns[0], default=0.0)
     events = 0.0
     for key in ("sim_events", "slots"):
-        if key in outcome.metrics:
-            events = outcome.metrics[key]
+        if key in metrics:
+            events = metrics[key]
             break
     else:
-        events = float(len(outcome.observations))
+        events = float(len(stream))
     gauges = {
         "wall_setup_s": setup_seconds,
         "wall_execute_s": execute_seconds,
@@ -330,14 +334,17 @@ def run(
     blocks_before = count_blocks()
     outcome = substrate.execute(ctx)
     execute_seconds = _time.perf_counter() - started - setup_seconds
-    observations = outcome.observations
+    observations = ObservationStream.of(outcome.observations)
     if observations:
-        observations += _profile_observations(
-            ctx,
-            outcome,
-            setup_seconds,
-            execute_seconds,
-            count_blocks() - blocks_before,
+        observations = observations.merged(
+            _profile_observations(
+                ctx,
+                observations,
+                outcome.metrics,
+                setup_seconds,
+                execute_seconds,
+                count_blocks() - blocks_before,
+            )
         )
     if opts.journal is not None:
         write_journal(

@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.core.fmmb import run_fmmb
 from repro.core.problem import ArrivalSchedule
@@ -397,7 +397,7 @@ class Outcome:
     delivered_count: int
     metrics: dict[str, float] = field(default_factory=dict)
     raw: Any = None
-    observations: tuple[Observation, ...] = ()
+    observations: Sequence[Observation] = ()
     series: dict[str, tuple[tuple[float, float], ...]] = field(
         default_factory=dict
     )

@@ -22,15 +22,26 @@ Format (version :data:`JOURNAL_FORMAT`):
   by default — wall-clock and heap gauges are machine-dependent and
   would break cross-machine byte identity.
 
-Encoding renders each row string directly (no per-row ``json.dumps``;
-the text is exactly what ``json.dumps(row, separators=(",", ":"))``
-would produce) and feeds the whole payload to one deflate stream in
-chunks of :data:`_CHUNK_ROWS` lines.  Deflate output depends only on
-the byte sequence, never on where the writes split, so the chunking is
-invisible in the file and only bounds the encoder's memory.  The frame
-comes from :class:`gzip.GzipFile`, whose header (OS byte ``0xff``) is
-part of the byte contract — :func:`gzip.compress` writes a different
-header on some Python versions.
+Encoding works on columns, never on :class:`Observation` objects.  Any
+input becomes one :class:`~repro.runtime.observations.ObservationStream`
+(a probe's stream already is one, already in canonical order, so it is
+never sorted twice), and rows are rendered straight from its time, kind,
+node, key, ref and value columns, :data:`_CHUNK_ROWS` rows at a time.
+The text is exactly what ``json.dumps(row, separators=(",", ":"))``
+would produce per row: ``float.__repr__`` (or a quoted non-finite name)
+for times and values, ``int.__repr__`` for nodes and refs, ``null`` for
+a missing node, ``encode_basestring_ascii`` for kinds and keys.
+
+Deflate runs on one background thread: the rendering thread hands each
+encoded chunk to it through a bounded queue and renders the next chunk
+while zlib (which releases the GIL) compresses the previous one.  The
+thread owns the single :class:`gzip.GzipFile` (level 9, ``mtime=0``) and
+is joined before the encoder returns.  The bytes are unchanged by both
+the chunking and the thread: deflate output depends only on the byte
+sequence, never on where the writes split, and one stream receives the
+chunks in order.  The frame comes from :class:`gzip.GzipFile`, whose
+header (OS byte ``0xff``) is part of the byte contract —
+:func:`gzip.compress` writes a different header on some Python versions.
 
 Decoding parses line by line, so a row that spans two lines is an
 error, never silently joined; every malformed line raises
@@ -46,15 +57,20 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import queue
+import threading
 from dataclasses import dataclass
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.errors import ExperimentError
-from repro.runtime.observations import OBSERVATION_KINDS, Observation
+from repro.runtime.observations import (
+    OBSERVATION_KINDS,
+    Observation,
+    ObservationStream,
+)
 
 #: Journal schema version; bump on any incompatible layout change.
 JOURNAL_FORMAT = 1
@@ -73,8 +89,13 @@ _GZIP_LEVEL = 9
 #: vanishes, small enough that the encoder never holds the whole text.
 _CHUNK_ROWS = 4096
 
-_fields = attrgetter("time", "kind", "node", "key", "ref", "value")
-_KIND_TEXT = {kind: encode_basestring_ascii(kind) for kind in OBSERVATION_KINDS}
+#: Encoded chunks that may wait for the deflate thread; bounds the
+#: encoder's memory when rendering outpaces compression.
+_QUEUE_CHUNKS = 4
+
+#: Quoted kind names, indexed by kind code.
+_KIND_TEXT = tuple(encode_basestring_ascii(kind) for kind in OBSERVATION_KINDS)
+_NON_FINITE_TEXT = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 _decoder = json.JSONDecoder()
@@ -92,51 +113,48 @@ class Journal:
         return len(self.observations)
 
 
-def _number_text(value: float) -> str:
-    """A float field as strict JSON: its repr, or a quoted non-finite name."""
-    value = float(value)
-    if value - value == 0.0:  # finite
-        return _float_repr(value)
-    if value != value:
-        return '"nan"'
-    return '"inf"' if value > 0 else '"-inf"'
+def _number_texts(column: Iterable[float]) -> list[str]:
+    """Float fields as strict JSON: reprs, or quoted non-finite names."""
+    texts = list(map(_float_repr, map(float, column)))
+    if "inf" in texts or "-inf" in texts or "nan" in texts:
+        texts = [_NON_FINITE_TEXT.get(text, text) for text in texts]
+    return texts
 
 
-def _row_text(obs: Observation) -> str:
-    """One observation's journal line (without the newline).
+def _chunk_texts(stream: ObservationStream) -> Iterator[str]:
+    """The stream's rows, :data:`_CHUNK_ROWS` newline-terminated lines
+    per chunk, rendered from its columns."""
+    time, code, node, key, ref, value = stream.columns
+    for start in range(0, len(time), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        nodes = node[rows]
+        node_text = {n: "null" if n is None else _int_repr(n) for n in set(nodes)}
+        fields = zip(
+            _number_texts(time[rows]),
+            map(_KIND_TEXT.__getitem__, code[rows]),
+            map(node_text.__getitem__, nodes),
+            map(encode_basestring_ascii, key[rows]),
+            map(_int_repr, ref[rows]),
+            _number_texts(value[rows]),
+        )
+        yield "[" + "]\n[".join(map(",".join, fields)) + "]\n"
 
-    Byte-identical to ``json.dumps([time, kind, node, key, ref, value],
-    separators=(",", ":"))`` with non-finite floats as strings, for the
-    field types :class:`Observation` declares.
-    """
-    time, kind, node, key, ref, value = _fields(obs)
-    node_text = "null" if node is None else _int_repr(node)
-    return (
-        f"[{_number_text(time)},{_KIND_TEXT[kind]},{node_text},"
-        f"{encode_basestring_ascii(key)},{_int_repr(ref)},{_number_text(value)}]"
-    )
+
+def _kept(
+    observations: Iterable[Observation], include_profile: bool
+) -> ObservationStream:
+    stream = ObservationStream.of(observations)
+    return stream if include_profile else stream.without("profile")
 
 
-def _lines(
-    observations: Iterable[Observation],
-    meta: dict | None,
-    include_profile: bool,
-) -> tuple[int, Iterator[str]]:
-    """The kept observation count and the journal's lines, header first."""
-    kept = [
-        obs
-        for obs in observations
-        if include_profile or obs.kind != "profile"
-    ]
-    kept.sort(key=Observation.sort_key)
+def _header_text(meta: dict | None, count: int) -> str:
     header = {
         "format": JOURNAL_FORMAT,
         "kind": JOURNAL_KIND,
-        "count": len(kept),
+        "count": count,
         "meta": meta if meta is not None else {},
     }
-    header_text = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    return len(kept), chain((header_text,), map(_row_text, kept))
+    return json.dumps(header, sort_keys=True, separators=(",", ":"))
 
 
 def journal_lines(
@@ -150,7 +168,9 @@ def journal_lines(
     — their values (wall time, heap churn) vary across machines and
     would defeat byte-identical journals.
     """
-    return _lines(observations, meta, include_profile)[1]
+    stream = _kept(observations, include_profile)
+    rows = (text.split("\n")[:-1] for text in _chunk_texts(stream))
+    return chain((_header_text(meta, len(stream)),), chain.from_iterable(rows))
 
 
 def _encode(
@@ -158,16 +178,44 @@ def _encode(
     meta: dict | None,
     include_profile: bool,
 ) -> tuple[bytes, int]:
-    """Journal bytes plus the observation count in the header."""
-    count, lines = _lines(observations, meta, include_profile)
+    """Journal bytes plus the observation count in the header.
+
+    The calling thread renders chunks; one deflate thread compresses
+    them in order into the single gzip frame.
+    """
+    stream = _kept(observations, include_profile)
     buffer = io.BytesIO()
-    with gzip.GzipFile(
-        fileobj=buffer, mode="wb", mtime=_GZIP_MTIME, compresslevel=_GZIP_LEVEL
-    ) as frame:
-        while chunk := list(islice(lines, _CHUNK_ROWS)):
-            chunk.append("")  # trailing newline
-            frame.write("\n".join(chunk).encode("utf-8"))
-    return buffer.getvalue(), count
+    chunks: queue.Queue[bytes | None] = queue.Queue(maxsize=_QUEUE_CHUNKS)
+    failure: list[BaseException] = []
+
+    def deflate() -> None:
+        data: bytes | None = b""
+        try:
+            with gzip.GzipFile(
+                fileobj=buffer,
+                mode="wb",
+                mtime=_GZIP_MTIME,
+                compresslevel=_GZIP_LEVEL,
+            ) as frame:
+                while (data := chunks.get()) is not None:
+                    frame.write(data)
+        except BaseException as exc:  # re-raised by the rendering thread
+            failure.append(exc)
+            while data is not None:  # drain, so the renderer never blocks
+                data = chunks.get()
+
+    worker = threading.Thread(target=deflate, name="journal-deflate", daemon=True)
+    worker.start()
+    try:
+        chunks.put((_header_text(meta, len(stream)) + "\n").encode("utf-8"))
+        for text in _chunk_texts(stream):
+            chunks.put(text.encode("utf-8"))
+    finally:
+        chunks.put(None)
+        worker.join()
+    if failure:
+        raise failure[0]
+    return buffer.getvalue(), len(stream)
 
 
 def dump_journal(
@@ -197,7 +245,10 @@ def write_journal(
 
 
 def _journal_text(path: str | Path) -> str:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ExperimentError(f"{path}: cannot read journal: {exc}") from exc
     if raw[:2] == _GZIP_MAGIC:
         try:
             raw = gzip.decompress(raw)

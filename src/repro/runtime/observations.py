@@ -12,6 +12,23 @@ gauges that become :attr:`ExperimentResult.metrics
 <repro.experiments.ExperimentResult.metrics>`, replacing the per-substrate
 ad-hoc metrics assembly with one documented surface.
 
+The stream is stored as *columns*, not objects.  A probe appends each
+event's six fields to parallel lists (time, kind code, node, key, ref,
+value) — :meth:`Probe.observe_instances` and
+:meth:`Probe.observe_deliveries` extend them in bulk — and
+:meth:`Probe.events` returns one immutable :class:`ObservationStream`:
+the columns permuted once into canonical :meth:`Observation.sort_key`
+order.  The stream is a ``Sequence[Observation]``; iterating or indexing
+it builds :class:`Observation` values lazily, it compares equal to any
+sequence holding the same observations (``stream == ()`` holds for an
+empty one), and it pickles as its columns, so shipping a run's stream
+between processes never pickles one object per event.  The journal
+encoder (:mod:`repro.runtime.journal`) renders rows straight from the
+columns.  The columns hold the field values themselves (lists while a
+probe captures, tuples in a stream), so every value an
+:class:`Observation` can hold (int or float times, ``None`` nodes,
+arbitrarily large refs, non-finite floats) survives unchanged.
+
 Consumers:
 
 * :class:`~repro.experiments.ExperimentResult` carries the stream in its
@@ -43,7 +60,10 @@ and the ``obs_*`` gauges merged into :meth:`Probe.metrics`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import ExperimentError
@@ -76,6 +96,21 @@ OBSERVATION_KINDS: tuple[str, ...] = (
 _KIND_ORDER = {kind: index for index, kind in enumerate(OBSERVATION_KINDS)}
 
 
+def _unknown_kind(kind: object) -> ExperimentError:
+    return ExperimentError(
+        f"unknown observation kind {kind!r}; one of "
+        f"{', '.join(OBSERVATION_KINDS)}"
+    )
+
+
+def _kind_code(kind: str) -> int:
+    """A kind's canonical tie-break rank (its column code)."""
+    code = _KIND_ORDER.get(kind)
+    if code is None:
+        raise _unknown_kind(kind)
+    return code
+
+
 @dataclass(frozen=True)
 class Observation:
     """One typed event of an execution, substrate-independent.
@@ -103,14 +138,165 @@ class Observation:
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_ORDER:
-            raise ExperimentError(
-                f"unknown observation kind {self.kind!r}; one of "
-                f"{', '.join(OBSERVATION_KINDS)}"
-            )
+            raise _unknown_kind(self.kind)
 
     def sort_key(self) -> tuple:
         node = self.node if self.node is not None else -1
         return (self.time, _KIND_ORDER[self.kind], self.ref, node, self.key)
+
+
+_BCAST, _RCV, _DELIVER, _ACK, _ABORT = map(
+    _kind_code, ("bcast", "rcv", "deliver", "ack", "abort")
+)
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _permuted(column: Sequence, order: list[int]) -> tuple:
+    """``column`` reordered by ``order`` as a tuple."""
+    if len(order) < 2:
+        return tuple(column[i] for i in order)
+    return itemgetter(*order)(column)
+
+
+def _built(columns: tuple[Sequence, ...]) -> Iterator[Observation]:
+    """Observations built on demand from (time, code, node, key, ref,
+    value) columns."""
+    time, code, node, key, ref, value = columns
+    kinds = map(OBSERVATION_KINDS.__getitem__, code)
+    return map(Observation, time, kinds, node, key, ref, value)
+
+
+class ObservationStream(Sequence):
+    """An immutable observation stream stored as six parallel columns.
+
+    The columns — time, kind code (the kind's index in
+    :data:`OBSERVATION_KINDS`), node, key, ref, value — are tuples in
+    canonical :meth:`Observation.sort_key` order.  Build one with
+    :meth:`from_columns` (sorts) or :meth:`of` (any iterable of
+    observations); :meth:`Probe.events` returns one.
+
+    The stream behaves as a ``tuple[Observation, ...]``: ``len``,
+    iteration, indexing and slicing (a slice is a tuple) build
+    :class:`Observation` values lazily, and ``==`` holds against any
+    sequence of equal observations.  Pickling ships the columns.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple[tuple, ...] = ((),) * 6) -> None:
+        # Trusted: ``columns`` are already canonical (use the
+        # classmethods to build a stream from unsorted data).
+        self.columns = columns
+
+    @classmethod
+    def from_columns(
+        cls,
+        time: Sequence,
+        code: Sequence[int],
+        node: Sequence,
+        key: Sequence[str],
+        ref: Sequence[int],
+        value: Sequence[float],
+    ) -> "ObservationStream":
+        """Sort unordered columns into a stream with one permutation.
+
+        The permutation is a stable sort on exactly the
+        :meth:`Observation.sort_key` tuples, so the result equals
+        ``sorted(observations, key=Observation.sort_key)``.
+        """
+        nodes = [-1 if n is None else n for n in node]
+        keys = list(zip(time, code, ref, nodes, key))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return cls(
+            tuple(
+                _permuted(column, order)
+                for column in (time, code, node, key, ref, value)
+            )
+        )
+
+    @classmethod
+    def of(cls, observations: Iterable[Observation]) -> "ObservationStream":
+        """Any iterable of observations as a canonical stream (a stream is
+        returned as is)."""
+        if isinstance(observations, cls):
+            return observations
+        items = list(observations)
+        return cls.from_columns(
+            [o.time for o in items],
+            [_KIND_ORDER[o.kind] for o in items],
+            [o.node for o in items],
+            [o.key for o in items],
+            [o.ref for o in items],
+            [o.value for o in items],
+        )
+
+    # ------------------------------------------------------------------
+    # Column operations (no Observation is built)
+    # ------------------------------------------------------------------
+    def without(self, kind: str) -> "ObservationStream":
+        """The stream minus every observation of ``kind`` (still canonical)."""
+        code = _kind_code(kind)
+        codes = self.columns[1]
+        if code not in codes:
+            return self
+        keep = [c != code for c in codes]
+        return ObservationStream(
+            tuple(tuple(compress(column, keep)) for column in self.columns)
+        )
+
+    def merged(self, observations: Iterable[Observation]) -> "ObservationStream":
+        """This stream plus ``observations``, in canonical order.
+
+        Rows that all sort after the last one (the runner's ``profile``
+        markers) are appended without re-sorting the stream.
+        """
+        extra = ObservationStream.of(observations)
+        if not extra:
+            return self
+        if not self or self._sort_key(-1) <= extra._sort_key(0):
+            return ObservationStream(
+                tuple(a + b for a, b in zip(self.columns, extra.columns))
+            )
+        return ObservationStream.from_columns(
+            *(a + b for a, b in zip(self.columns, extra.columns))
+        )
+
+    def _sort_key(self, index: int) -> tuple:
+        time, code, node, key, ref, _value = (c[index] for c in self.columns)
+        return (time, code, ref, -1 if node is None else node, key)
+
+    # ------------------------------------------------------------------
+    # Sequence protocol (Observations built lazily)
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self) -> Iterator[Observation]:
+        return _built(self.columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(_built(tuple(c[index] for c in self.columns)))
+        time, code, node, key, ref, value = (c[index] for c in self.columns)
+        return Observation(time, OBSERVATION_KINDS[code], node, key, ref, value)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ObservationStream):
+            return self.columns == other.columns
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        return (ObservationStream, (self.columns,))
+
+    def __repr__(self) -> str:
+        return f"ObservationStream({len(self)} observations)"
 
 
 def _payload_tag(payload: object) -> str:
@@ -193,7 +379,8 @@ class Probe:
                 )
         self.window = float(window) if window is not None else None
         self.max_windows = int(max_windows) if max_windows is not None else None
-        self._events: list[Observation] = []
+        # The raw stream as columns: time, kind code, node, key, ref, value.
+        self._columns: tuple[list, ...] = ([], [], [], [], [], [])
         self._gauges: dict[str, float] = {}
         self._series: dict[str, tuple[tuple[float, float], ...]] = {}
         self._buckets: dict[int, _WindowBucket] = {}
@@ -221,18 +408,13 @@ class Probe:
     ) -> None:
         """Record one observation (kind-checked); windowed probes fold it
         into the window aggregate instead of retaining it."""
+        code = _kind_code(kind)
         if self.window is None:
-            self._events.append(
-                Observation(
-                    time=time, kind=kind, node=node, key=key, ref=ref, value=value
-                )
-            )
+            for column, field in zip(
+                self._columns, (time, code, node, key, ref, value)
+            ):
+                column.append(field)
             return
-        if kind not in _KIND_ORDER:
-            raise ExperimentError(
-                f"unknown observation kind {kind!r}; one of "
-                f"{', '.join(OBSERVATION_KINDS)}"
-            )
         index = int(time // self.window)
         bucket = self._buckets.get(index)
         if bucket is None:
@@ -282,7 +464,15 @@ class Probe:
     # Derivation helpers (post-run, never during execution)
     # ------------------------------------------------------------------
     def observe_instances(self, instances: Iterable["MessageInstance"]) -> None:
-        """Emit ``bcast``/``rcv``/``ack``/``abort`` from a MAC instance log."""
+        """Emit ``bcast``/``rcv``/``ack``/``abort`` from a MAC instance log.
+
+        Per instance the rows are its ``bcast``, every ``rcv`` (receiver
+        order), then its ``ack`` and ``abort``; a raw probe extends its
+        columns with them in bulk.
+        """
+        if self.window is None:
+            self._extend_instances(instances)
+            return
         for inst in instances:
             tag = _payload_tag(inst.payload)
             self.emit("bcast", inst.bcast_time, inst.sender, tag, inst.iid)
@@ -293,12 +483,48 @@ class Probe:
             if inst.abort_time is not None:
                 self.emit("abort", inst.abort_time, inst.sender, tag, inst.iid)
 
+    def _extend_instances(self, instances: Iterable["MessageInstance"]) -> None:
+        times, codes, nodes, keys, refs, values = self._columns
+        for inst in instances:
+            tag = _payload_tag(inst.payload)
+            iid = inst.iid
+            rcv = inst.rcv_times
+            codes.append(_BCAST)
+            times.append(inst.bcast_time)
+            nodes.append(inst.sender)
+            if rcv:
+                count = len(rcv) + 1
+                codes.extend(repeat(_RCV, count - 1))
+                times.extend(rcv.values())
+                nodes.extend(rcv)
+            else:
+                count = 1
+            for code, time in ((_ACK, inst.ack_time), (_ABORT, inst.abort_time)):
+                if time is not None:
+                    codes.append(code)
+                    times.append(time)
+                    nodes.append(inst.sender)
+                    count += 1
+            keys.extend(repeat(tag, count))
+            refs.extend(repeat(iid, count))
+            values.extend(repeat(1.0, count))
+
     def observe_deliveries(
         self, times: dict[tuple[NodeId, str], Time]
     ) -> None:
         """Emit one ``deliver`` per MMB delivery table entry."""
-        for (node, mid), time in times.items():
-            self.emit("deliver", time, node, mid)
+        if self.window is not None:
+            for (node, mid), time in times.items():
+                self.emit("deliver", time, node, mid)
+            return
+        count = len(times)
+        column_times, codes, nodes, keys, refs, values = self._columns
+        codes.extend(repeat(_DELIVER, count))
+        column_times.extend(times.values())
+        nodes.extend(map(_first, times))
+        keys.extend(map(_second, times))
+        refs.extend(repeat(-1, count))
+        values.extend(repeat(1.0, count))
 
     def observe_arrivals(
         self, arrivals: Iterable[tuple[NodeId, str, Time]]
@@ -327,14 +553,16 @@ class Probe:
     # ------------------------------------------------------------------
     # Consumption
     # ------------------------------------------------------------------
-    def events(self) -> tuple[Observation, ...]:
-        """The stream in chronological order (stable tie-break).
+    def events(self) -> ObservationStream:
+        """The stream in canonical order (:meth:`Observation.sort_key`,
+        stable tie-break) as an :class:`ObservationStream`.
 
-        Windowed probes retain no raw stream and return ``()``.
+        Windowed probes retain no raw stream and return an empty one
+        (``== ()``).
         """
         if self.window is not None:
-            return ()
-        return tuple(sorted(self._events, key=Observation.sort_key))
+            return ObservationStream()
+        return ObservationStream.from_columns(*self._columns)
 
     def count(self, kind: str) -> float:
         """Total ``value`` of one kind (event count for point events).
@@ -343,15 +571,19 @@ class Probe:
         """
         if self.window is not None:
             return self._kind_totals.get(kind, 0.0)
-        return sum(o.value for o in self._events if o.kind == kind)
+        code = _KIND_ORDER.get(kind)
+        _times, codes, _nodes, _keys, _refs, values = self._columns
+        return sum(compress(values, [c == code for c in codes]))
 
     def counts(self) -> dict[str, float]:
         """Per-kind totals for every kind present in the stream."""
         if self.window is not None:
             return dict(self._kind_totals)
         totals: dict[str, float] = {}
-        for obs in self._events:
-            totals[obs.kind] = totals.get(obs.kind, 0.0) + obs.value
+        _times, codes, _nodes, _keys, _refs, values = self._columns
+        for code, value in zip(codes, values):
+            kind = OBSERVATION_KINDS[code]
+            totals[kind] = totals.get(kind, 0.0) + value
         return totals
 
     def windows(self) -> tuple[WindowAggregate, ...]:
@@ -389,7 +621,7 @@ class Probe:
         return out
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._columns[0])
 
     def __iter__(self) -> Iterator[Observation]:
         return iter(self.events())

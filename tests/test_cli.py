@@ -485,6 +485,29 @@ def test_trace_check_rejects_journal_without_spec(tmp_path, capsys):
     assert "no embedded spec" in err
 
 
+def test_trace_diff_of_a_missing_journal_exits_2(tmp_path, capsys):
+    paths = _journaled_sweep(tmp_path, capsys)
+    missing = str(tmp_path / "missing.obs.jsonl.gz")
+    assert main(["trace", "diff", paths[0], missing]) == 2
+    err = capsys.readouterr().err
+    assert f"{missing}: cannot read journal" in err
+    assert "Traceback" not in err
+
+
+def test_trace_check_with_unconvertible_param_exits_2(tmp_path, capsys):
+    paths = _journaled_sweep(tmp_path, capsys)
+    status = main(["trace", "check", paths[0], "--check", "ack_latency:fack=abc"])
+    err = capsys.readouterr().err
+    assert status == 2
+    assert "trace check 'ack_latency' rejected params ['fack']" in err
+
+
+def test_trace_grep_with_bad_pattern_exits_2(tmp_path, capsys):
+    paths = _journaled_sweep(tmp_path, capsys)
+    assert main(["trace", "grep", "(", paths[0]]) == 2
+    assert "bad pattern '('" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # Shared override grammar (--param / --set / --fault / --check params)
 # ----------------------------------------------------------------------

@@ -7,6 +7,13 @@ import hashlib
 import io
 import json
 import math
+import pickle
+import pickletools
+import random
+import struct
+import sys
+import threading
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +30,10 @@ from repro.experiments import (
     RunOptions,
     SchedulerSpec,
     TopologySpec,
+    Sweep,
     WorkloadSpec,
     run,
+    run_sweep,
 )
 from repro.runtime.journal import (
     JOURNAL_FORMAT,
@@ -36,7 +45,12 @@ from repro.runtime.journal import (
     read_journal,
     write_journal,
 )
-from repro.runtime.observations import OBSERVATION_KINDS, Observation
+from repro.runtime.observations import (
+    OBSERVATION_KINDS,
+    Observation,
+    ObservationStream,
+    Probe,
+)
 from repro.sim.rng import RandomSource
 
 
@@ -367,6 +381,192 @@ def test_chunked_framing_matches_the_reference_past_one_chunk():
         for i in range(5_000)
     ]
     assert dump_journal(stream) == _reference_dump(stream)
+
+
+# ----------------------------------------------------------------------
+# The columnar stream
+# ----------------------------------------------------------------------
+#: ``_observations`` without NaN: a NaN never equals a copy of itself,
+#: so value-equality after pickling holds only for NaN-free streams
+#: (exactly as for a tuple of Observations).
+_finite_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=True),
+    st.integers(min_value=-(2**60), max_value=2**60),
+)
+_nan_free_observations = st.builds(
+    Observation,
+    time=_finite_numbers,
+    kind=st.sampled_from(OBSERVATION_KINDS),
+    node=st.none() | st.integers(min_value=-(2**70), max_value=2**70),
+    key=_keys,
+    ref=st.integers(min_value=-(2**70), max_value=2**70),
+    value=_finite_numbers,
+)
+
+
+@given(stream=st.lists(_observations, max_size=16))
+@settings(max_examples=80, deadline=None)
+def test_stream_is_the_canonically_sorted_tuple(stream):
+    expected = tuple(sorted(stream, key=Observation.sort_key))
+    columnar = ObservationStream.of(stream)
+    assert columnar == expected
+    assert expected == columnar
+    assert columnar == list(expected)
+    assert tuple(columnar) == expected
+    assert ObservationStream.of(columnar) is columnar
+
+
+@given(stream=st.lists(_nan_free_observations, max_size=16))
+@settings(max_examples=80, deadline=None)
+def test_stream_pickles_as_columns_and_round_trips(stream):
+    columnar = ObservationStream.of(stream)
+    data = pickle.dumps(columnar)
+    again = pickle.loads(data)
+    assert isinstance(again, ObservationStream)
+    assert again == columnar
+    assert again == tuple(sorted(stream, key=Observation.sort_key))
+
+
+def test_stream_pickle_ships_columns_not_objects():
+    data = pickle.dumps(ObservationStream.of(_stream()))
+    names = {arg for _op, arg, _pos in pickletools.genops(data) if isinstance(arg, str)}
+    assert "ObservationStream" in names
+    assert "Observation" not in names
+
+
+@given(stream=st.lists(_observations, max_size=16), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_stream_indexes_and_slices_like_a_tuple(stream, data):
+    expected = tuple(sorted(stream, key=Observation.sort_key))
+    columnar = ObservationStream.of(stream)
+    assert len(columnar) == len(expected)
+    assert bool(columnar) == bool(expected)
+    assert (columnar == ()) == (expected == ())
+    for index in range(-len(expected), len(expected)):
+        assert columnar[index] == expected[index]
+    with pytest.raises(IndexError):
+        columnar[len(expected)]
+    window = data.draw(st.slices(len(expected) + 2))
+    assert columnar[window] == expected[window]
+    assert isinstance(columnar[window], tuple)
+
+
+def test_empty_and_windowed_probe_streams_equal_the_empty_tuple():
+    assert Probe().events() == ()
+    assert () == Probe().events()
+    assert Probe(window=1.0).events() == ()
+    assert ObservationStream() == []
+    assert ObservationStream() != (Observation(0.0, "bcast"),)
+
+
+def test_probe_columns_match_per_event_emission():
+    bulk, single = Probe(), Probe()
+    deliveries = {(2, "m1"): 3.0, (0, "m0"): 1.5, (1, "m0"): 1.5}
+    bulk.observe_deliveries(deliveries)
+    for (node, mid), time in deliveries.items():
+        single.emit("deliver", time, node, mid)
+    assert bulk.events() == single.events()
+    assert bulk.counts() == single.counts() == {"deliver": 3.0}
+    assert bulk.count("deliver") == 3.0 and bulk.count("rcv") == 0
+    with pytest.raises(ExperimentError, match="unknown observation kind"):
+        Probe().emit("nope", 0.0)
+
+
+def _random_observations(count, kinds, seed=11):
+    rng = random.Random(seed)
+    return [
+        Observation(
+            time=rng.choice((rng.random() * 50.0, float(rng.randrange(50)))),
+            kind=kinds[rng.randrange(len(kinds))],
+            node=None if rng.random() < 0.05 else rng.randrange(-2, 300),
+            key=rng.choice(("m0", "m1", "0-1", "", "\u00e9")),
+            ref=rng.randrange(-1, 4000),
+            value=rng.choice((1.0, float("inf"), 2.5)),
+        )
+        for _ in range(count)
+    ]
+
+
+def _reference_text(observations, meta=None) -> bytes:
+    kept = [obs for obs in observations if obs.kind != "profile"]
+    kept.sort(key=Observation.sort_key)
+    header = {
+        "format": JOURNAL_FORMAT,
+        "kind": JOURNAL_KIND,
+        "count": len(kept),
+        "meta": meta if meta is not None else {},
+    }
+    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    lines += [_reference_row(obs) for obs in kept]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _one_deflate_call(text: bytes) -> bytes:
+    """The gzip member ``GzipFile(mtime=0, compresslevel=9)`` writes for
+    ``text``: its 10-byte header (XFL 2, OS 0xff), one raw deflate
+    stream over the whole text, then CRC-32 and size."""
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -15)
+    body = deflate.compress(text) + deflate.flush()
+    header = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
+    trailer = struct.pack("<II", zlib.crc32(text), len(text) & 0xFFFFFFFF)
+    return header + body + trailer
+
+
+@pytest.mark.parametrize("rows", [0, 4096, 4097, 3 * 4096 + 5])
+def test_stream_journal_bytes_match_one_deflate_call(rows):
+    observations = _random_observations(
+        rows, ("bcast", "rcv", "ack", "deliver", "crash")
+    ) + _random_observations(7, ("profile",), seed=12)
+    meta = {"rows": rows}
+    data = dump_journal(ObservationStream.of(observations), meta=meta)
+    assert data == dump_journal(list(observations), meta=meta)
+    assert data == _one_deflate_call(_reference_text(observations, meta))
+    assert len(loads_journal(gzip.decompress(data).decode("utf-8"))) == rows
+
+
+def test_render_error_propagates_and_joins_the_deflate_thread():
+    before = threading.active_count()
+    bad = [Observation(time="soon", kind="bcast", node=0, key="m0", ref=0)]
+    with pytest.raises(ValueError):
+        dump_journal(bad)
+    assert threading.active_count() == before
+    assert dump_journal(_stream()) == _one_deflate_call(_reference_text(_stream()))
+
+
+def test_concurrent_encoders_under_fast_thread_switching_stay_byte_exact():
+    observations = _random_observations(3 * 4096 + 5, ("bcast", "rcv", "ack"))
+    expected = _one_deflate_call(_reference_text(observations))
+    results = [None] * 4
+
+    def encode(slot):
+        results[slot] = dump_journal(observations)
+
+    threads = [threading.Thread(target=encode, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 4
+
+
+def test_parallel_observed_sweep_streams_equal_the_serial_ones():
+    specs = Sweep.seeds(_spec(), 3)
+    serial = run_sweep(specs, options=RunOptions.observed())
+    parallel = run_sweep(specs, workers=2, options=RunOptions.observed())
+    assert len(serial) == len(parallel) == 3
+    for one, other in zip(serial, parallel):
+        assert isinstance(other.observations, ObservationStream)
+        # Profile markers carry wall clocks; everything else is exact.
+        assert one.observations.without("profile") == other.observations.without(
+            "profile"
+        )
+        assert dump_journal(one.observations) == dump_journal(other.observations)
 
 
 # ----------------------------------------------------------------------
